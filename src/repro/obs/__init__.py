@@ -70,7 +70,6 @@ from repro.obs.severity import Severity, grade_excess, severity
 from repro.obs.store import (
     RunStore,
     config_digest,
-    machine_band,
     run_key,
     summarize_measurement,
     summarize_point,
@@ -106,7 +105,6 @@ __all__ = [
     "guideline_insights",
     "interference_insight",
     "load_jsonl",
-    "machine_band",
     "merge_registries",
     "phase_overlap",
     "phase_totals",

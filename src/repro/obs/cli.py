@@ -288,7 +288,8 @@ def cmd_compact(ns: argparse.Namespace) -> int:
     res = store.compact(prefix=ns.prefix or None)
     print(f"compacted {store.root}: {res['records']} record(s) in "
           f"{res['shards']} shard(s), {res['removed_files']} mutable "
-          f"file(s) folded into segments")
+          f"file(s) folded into segments, {res['skipped']} torn or "
+          f"corrupt line(s) dropped")
     return 0
 
 

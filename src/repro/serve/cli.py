@@ -177,8 +177,9 @@ def _bench_queries(store: DecisionStore, n: int) -> dict[str, list[Query]]:
         Query("bcast", 2.0 ** (10 + i % 12), commsize=8, band="0" * 64)
         for i in range(n)
     ]
-    mixed = [q for group in (exact, nearest, interp, default)
-             for q in group][:n]
+    # round-robin, so any prefix mixes all four kinds
+    mixed = [q for four in zip(exact, nearest, interp, default)
+             for q in four][:n]
     return {"exact": exact, "nearest": nearest, "interpolated": interp,
             "default": default, "mixed": mixed}
 

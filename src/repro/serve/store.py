@@ -5,24 +5,24 @@ One *decision* is the winner of an autotuning search for one point
 :class:`~repro.core.config.HanConfig` plus its expected time and
 provenance.  The store keeps millions of them queryable at memory speed:
 
-- **band digest** -- the hardware identity of a machine with the job
-  geometry erased (:meth:`~repro.hardware.spec.MachineSpec.band`),
-  digested through the :func:`repro.tuning.cache.digest` contract.  Two
-  jobs of different sizes on the same hardware share a band, so one
-  tuning sweep serves every job shape on that fleet.
+- **band digest** -- :func:`repro.tuning.cache.band_digest`, the
+  hardware identity of a machine with the job geometry erased
+  (:meth:`~repro.hardware.spec.MachineSpec.band`).  Two jobs of
+  different sizes on the same hardware share a band, so one tuning
+  sweep serves every job shape on that fleet.
 - **point key** -- content digest of (band, coll, n, p, nbytes): the
   dedup identity of a decision.  Same point tuned twice resolves to one
   record (newest ``wall_time`` wins; ties break on the smaller
   ``config_digest``, so resolution is deterministic in any merge order).
 - **shard** -- one directory per (band, coll):
-  ``<root>/<band[:16]>/<coll>/``.  Writers append whole JSONL lines with
-  ``O_APPEND`` to ``open.jsonl`` (the :class:`~repro.obs.store.RunStore`
-  idiom: no locks, torn lines from dead writers are skipped on read);
-  :meth:`compact` folds every segment of a shard into one immutable,
-  deduped, content-named ``seg-<digest>.jsonl``.
-- **merge** -- :meth:`merge_from` folds another store in record by
-  record through the same resolution rule, so post-merge query results
-  equal the pre-merge union.
+  ``<root>/<band[:16]>/<coll>/``, under a ``BAND.json`` marker carrying
+  the full band digest.  Files, appends, torn-line reads and compaction
+  are the append-only log core's (:mod:`repro.util.logstore`); a
+  compacted segment keeps each point's resolved record, in
+  ``(n, p, nbytes, key)`` order.
+- **merge** -- :meth:`DecisionStore.merge_from` folds another store in
+  record by record through the same resolution rule, so post-merge
+  query results equal the pre-merge union.
 
 ``root=None`` keeps every shard in memory -- the serving bench and unit
 tests use this mode.
@@ -31,15 +31,14 @@ tests use this mode.
 from __future__ import annotations
 
 import json
-import hashlib
 import os
-import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.tuning.cache import digest
+from repro.tuning.cache import band_digest, digest
 from repro.tuning.lookup import config_to_dict
+from repro.util.logstore import LogStore, Schema, write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import HanConfig
@@ -61,15 +60,6 @@ SERVE_SCHEMA_VERSION = 1
 RECORD_HEADER_KEYS = frozenset({"schema_version", "wall_time", "source"})
 
 _BAND_DIR_CHARS = 16
-
-
-def band_digest(machine: "MachineSpec") -> str:
-    """Stable digest of the machine's hardware band (geometry erased)."""
-    return digest(
-        "machine-band",
-        schema=SERVE_SCHEMA_VERSION,
-        machine=machine.band(),
-    )
 
 
 def point_key(band: str, coll: str, n: int, p: int, nbytes: float) -> str:
@@ -139,6 +129,39 @@ def _wins(a: dict, b: dict) -> bool:
     return a.get("config_digest", "") < b.get("config_digest", "")
 
 
+def _point_order(rec: dict) -> tuple:
+    return (rec["n"], rec["p"], rec["nbytes"], rec["key"])
+
+
+def _resolve(records: dict[str, dict]) -> dict[str, tuple[str, dict]]:
+    """``{canonical line: record}`` -> ``{point key: (line, winner)}``.
+
+    Lines are visited in sorted order, so records that tie on both
+    ``wall_time`` and ``config_digest`` resolve to the smallest line.
+    """
+    view: dict[str, tuple[str, dict]] = {}
+    for line in sorted(records):
+        rec = records[line]
+        cur = view.get(rec["key"])
+        if cur is None or _wins(rec, cur[1]):
+            view[rec["key"]] = (line, rec)
+    return view
+
+
+def _survivors(records: dict[str, dict]) -> list[str]:
+    """Segment rule: each point's resolved record, in point order."""
+    return [line for line, _rec in
+            sorted(_resolve(records).values(), key=lambda lr: _point_order(lr[1]))]
+
+
+_SCHEMA = Schema(
+    version=SERVE_SCHEMA_VERSION,
+    shard_glob="*/*",
+    shard=lambda rec: f"{rec['band'][:_BAND_DIR_CHARS]}/{rec['coll']}",
+    survivors=_survivors,
+)
+
+
 class DecisionStore:
     """Sharded (band, coll) decision store with O(1) point resolution.
 
@@ -148,9 +171,8 @@ class DecisionStore:
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+        self._log = LogStore(root, _SCHEMA) if root is not None else None
+        self.root = self._log.root if self._log is not None else None
         #: (band, coll) -> {point key -> resolved record}
         self._shards: dict[tuple[str, str], dict[str, dict]] = {}
         self.appends = 0
@@ -162,70 +184,35 @@ class DecisionStore:
         return self.root / band[:_BAND_DIR_CHARS]
 
     def _shard_dir(self, band: str, coll: str) -> Path:
-        return self._band_dir(band) / coll
+        return self._log.shard_dir({"band": band, "coll": coll})
 
     def _write_band_marker(self, band: str, machine_label: str) -> None:
         marker = self._band_dir(band) / "BAND.json"
         if marker.exists():
             return
         marker.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=marker.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump({
-                    "schema_version": SERVE_SCHEMA_VERSION,
-                    "band": band,
-                    "machine": machine_label,
-                }, fh)
-            os.replace(tmp, marker)  # racing warmers agree on content
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(marker, json.dumps({  # racing warmers agree on content
+            "schema_version": SERVE_SCHEMA_VERSION,
+            "band": band,
+            "machine": machine_label,
+        }))
 
     # -- shard loading ------------------------------------------------------------
-
-    @staticmethod
-    def _absorb(shard: dict, rec: dict) -> bool:
-        """Fold one record into a resolved shard view; True if it won."""
-        key = rec.get("key")
-        if not key:
-            return False
-        cur = shard.get(key)
-        if cur is None or _wins(rec, cur):
-            shard[key] = rec
-            return True
-        return False
-
-    def _iter_lines(self, shard_dir: Path) -> Iterator[dict]:
-        for f in sorted(shard_dir.glob("*.jsonl")):
-            try:
-                text = f.read_text()
-            except OSError:
-                continue
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line from a dead writer: skip
 
     def _shard(self, band: str, coll: str) -> dict[str, dict]:
         view = self._shards.get((band, coll))
         if view is not None:
             return view
         view = {}
-        if self.root is not None:
+        if self._log is not None:
             shard_dir = self._shard_dir(band, coll)
             if shard_dir.is_dir():
-                for rec in self._iter_lines(shard_dir):
-                    # a band-prefix collision lands foreign records in
-                    # this directory; the full digest in each line keeps
-                    # them out of the view
-                    if rec.get("band") == band:
-                        self._absorb(view, rec)
+                # a band-prefix collision lands foreign records in this
+                # directory; the full digest in each line keeps them out
+                # of the view
+                view = {key: rec for key, (_line, rec)
+                        in _resolve(self._log.records(shard_dir)).items()
+                        if rec.get("band") == band}
         self._shards[(band, coll)] = view
         return view
 
@@ -243,18 +230,13 @@ class DecisionStore:
                 raise ValueError(f"decision record must carry {field!r}")
         rec.setdefault("schema_version", SERVE_SCHEMA_VERSION)
         band, coll = rec["band"], rec["coll"]
-        if self.root is not None:
+        if self._log is not None:
             self._write_band_marker(band, rec.get("machine", "?"))
-            shard_dir = self._shard_dir(band, coll)
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            line = json.dumps(rec, sort_keys=True) + "\n"
-            fd = os.open(shard_dir / "open.jsonl",
-                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        self._absorb(self._shard(band, coll), rec)
+            self._log.append(rec)
+        view = self._shard(band, coll)
+        cur = view.get(rec["key"])
+        if cur is None or _wins(rec, cur):
+            view[rec["key"]] = rec
         self.appends += 1
         self.version += 1
         return rec["key"]
@@ -312,10 +294,7 @@ class DecisionStore:
 
     def records(self, band: str, coll: str) -> list[dict]:
         """Resolved records of one shard, in canonical point order."""
-        return sorted(
-            self._shard(band, coll).values(),
-            key=lambda r: (r["n"], r["p"], r["nbytes"], r["key"]),
-        )
+        return sorted(self._shard(band, coll).values(), key=_point_order)
 
     def bands(self) -> list[str]:
         """Every band digest with at least one shard."""
@@ -352,6 +331,7 @@ class DecisionStore:
             "shards": sum(len(self.colls(b)) for b in bands),
             "records": len(self),
             "appends": self.appends,
+            "skipped": self._log.skipped if self._log is not None else 0,
         }
 
     # -- merge / compaction --------------------------------------------------------
@@ -377,57 +357,32 @@ class DecisionStore:
 
     def compact(self, band: Optional[str] = None,
                 coll: Optional[str] = None) -> dict:
-        """Fold each shard's segments into one immutable, deduped segment.
+        """Fold each shard's files into one immutable segment of resolved
+        records (see :meth:`~repro.util.logstore.LogStore.compact`).
 
-        The surviving segment is content-named (``seg-<digest>.jsonl``
-        over its canonical, sorted lines) and written atomically, so a
-        reader never sees a half-compacted shard and re-compacting an
-        already-compact shard is a no-op that reproduces the same file.
+        Re-compacting an already-compact shard is a no-op that
+        reproduces the same file; ``skipped`` counts the torn or corrupt
+        lines the folded files held.
         """
-        if self.root is None:
-            return {"shards": 0, "records": 0, "removed_segments": 0}
-        shards = 0
-        records = 0
-        removed = 0
+        out = {"shards": 0, "records": 0, "removed_segments": 0, "skipped": 0}
+        if self._log is None:
+            return out
         for b in ([band] if band else self.bands()):
             for c in ([coll] if coll else self.colls(b)):
                 shard_dir = self._shard_dir(b, c)
                 if not shard_dir.is_dir():
                     continue
+                res = self._log.compact(shard_dir)
+                out["skipped"] += res["skipped"]
                 self._shards.pop((b, c), None)
                 resolved = self.records(b, c)
                 if not resolved:
                     continue
-                lines = "".join(
-                    json.dumps(r, sort_keys=True) + "\n" for r in resolved
-                )
-                seg_digest = hashlib.sha256(lines.encode("utf-8")).hexdigest()
-                seg = shard_dir / f"seg-{seg_digest[:12]}.jsonl"
-                old = [f for f in shard_dir.glob("*.jsonl") if f != seg]
-                if not seg.exists():
-                    fd, tmp = tempfile.mkstemp(dir=shard_dir, suffix=".tmp")
-                    try:
-                        with os.fdopen(fd, "w") as fh:
-                            fh.write(lines)
-                        os.replace(tmp, seg)
-                    except BaseException:
-                        if os.path.exists(tmp):
-                            os.unlink(tmp)
-                        raise
-                for f in old:
-                    try:
-                        f.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-                self._shards[(b, c)] = {r["key"]: r for r in resolved}
-                shards += 1
-                records += len(resolved)
+                out["shards"] += 1
+                out["records"] += len(resolved)
+                out["removed_segments"] += res["removed"]
         self.version += 1
-        return {
-            "shards": shards, "records": records,
-            "removed_segments": removed,
-        }
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.root) if self.root is not None else "memory"

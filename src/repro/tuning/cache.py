@@ -33,8 +33,8 @@ currency, simulated benchmark seconds) is bit-identical with or without
 the cache; wall-clock time is what the cache eliminates.
 
 Storage is one JSON file per entry under ``<root>/<digest[:2]>/``,
-written atomically (tmp + rename) so concurrent tuning runs can share a
-cache directory.  A path-less cache is memory-only (useful for sharing
+written atomically (:func:`repro.util.logstore.write_atomic`) so
+concurrent tuning runs can share a cache directory.  A path-less cache is memory-only (useful for sharing
 work within one process, e.g. across the four Fig 8 methods).
 """
 
@@ -45,11 +45,21 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-__all__ = ["CACHE_VERSION", "MeasurementCache", "canonical", "digest"]
+from repro.util.logstore import write_atomic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hardware.spec import MachineSpec
+
+__all__ = [
+    "CACHE_VERSION",
+    "MeasurementCache",
+    "band_digest",
+    "canonical",
+    "digest",
+]
 
 CACHE_VERSION = 1
 
@@ -90,6 +100,18 @@ def digest(kind: str, **parts) -> str:
         doc[name] = canonical(value)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def band_digest(machine: "MachineSpec") -> str:
+    """Stable digest of the machine's hardware band (geometry erased).
+
+    The one hardware identity of the repository: run summaries
+    (:mod:`repro.obs.store`) and tuned decisions (:mod:`repro.serve.store`)
+    of the same hardware carry the same band whatever the job shape.
+    ``schema=1`` is part of the digest, and decision-store band
+    directories are named after it, so it never changes.
+    """
+    return digest("machine-band", schema=1, machine=machine.band())
 
 
 class MeasurementCache:
@@ -140,15 +162,7 @@ class MeasurementCache:
             return
         f = self._file_for(key)
         f.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=f.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, f)  # atomic publish; racing writers agree on content
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(f, json.dumps(doc))  # racing writers agree on content
 
     # -- introspection ------------------------------------------------------------
 

@@ -1,10 +1,16 @@
-"""Run store: key contract, append/read round-trip, torn-line tolerance."""
+"""Run store: key contract, append/read round-trip, torn-line tolerance,
+the one band identity, and the crash-consistency battery on both stores."""
 
 import json
+import os
+import sys
+import threading
 from pathlib import Path
 
+import pytest
+
 from repro.core.config import HanConfig
-from repro.hardware.machines import shaheen2
+from repro.hardware.machines import shaheen2, tiny_cluster
 from repro.obs.store import (
     RunStore,
     config_digest,
@@ -12,6 +18,8 @@ from repro.obs.store import (
     summarize_measurement,
     summarize_point,
 )
+from repro.serve.store import DecisionStore, decision_record
+from repro.tuning.cache import band_digest
 from repro.tuning.measure import measure_collective
 
 KiB = 1024
@@ -180,8 +188,8 @@ def test_compact_folds_later_appends_into_one_segment(tmp_path):
     store.compact()
     (key,) = store.keys()
     shard = store._shard_dir(key)
-    assert len(store._segments(shard)) == 1
-    assert store._mutable_files(shard) == []
+    assert len(store._log.segments(shard)) == 1
+    assert store._log.mutable_files(shard) == []
     assert len(store.runs(key)) == 2
 
 
@@ -311,3 +319,181 @@ def test_merge_from_is_idempotent_union(tmp_path):
     a.compact()
     b.compact()
     assert {k: r for k, r in a.groups()} == {k: r for k, r in b.groups()}
+
+
+# -- one band identity ---------------------------------------------------------
+
+
+def test_run_and_decision_stores_share_one_band():
+    m = _machine()
+    meas = measure_collective(m, "bcast", 64 * KiB, HanConfig(fs=64 * KiB))
+    assert summarize_measurement(m, meas)["band"] == band_digest(m)
+    for machine in (m, m.scaled(num_nodes=8, ppn=4)):
+        summary = summarize_point(machine, "bcast", 1024, 1e-3)
+        rec = decision_record(machine, "bcast", 1024, HanConfig())
+        assert summary["band"] == rec["band"] == band_digest(m)
+
+
+def test_band_digest_is_pinned():
+    # decision-store band directories are named after this digest
+    assert band_digest(tiny_cluster()) == (
+        "4fa078bcfd72ac85c083ac45507522c30b3310897e4b0bbc14f048f1bab1e02e")
+
+
+def test_cli_compact_reports_dropped_lines(tmp_path, capsys):
+    from repro.obs import cli
+
+    store = RunStore(tmp_path)
+    key = store.append(_point(_machine(), "bcast", 1024, 1e-3, wall=0))
+    with open(store._open_file(key), "a") as fh:
+        fh.write("not json\n")
+    assert cli.main(["compact", str(tmp_path)]) == 0
+    assert "1 torn or corrupt line(s) dropped" in capsys.readouterr().out
+
+
+# -- the crash-consistency battery, on both stores ------------------------------
+
+
+class _Runs:
+    """RunStore under the battery: record i is run i of one group."""
+
+    open = RunStore
+
+    @staticmethod
+    def doc(i, coll="bcast"):
+        return _point(_machine(), coll, 1024, 1e-3 + 1e-6 * i, wall=i)
+
+    @staticmethod
+    def records(store):
+        return [doc for _key, runs in store.groups() for doc in runs]
+
+
+class _Decisions:
+    """DecisionStore under the battery: record i is point i of a shard."""
+
+    open = DecisionStore
+
+    @staticmethod
+    def doc(i, coll="bcast"):
+        return decision_record(_machine(), coll, (64 + i) * KiB,
+                               HanConfig(fs=64 * KiB), expected_time=1e-4,
+                               wall_time=float(i))
+
+    @staticmethod
+    def records(store):
+        return [rec for band in store.bands() for coll in store.colls(band)
+                for rec in store.records(band, coll)]
+
+
+@pytest.fixture(params=[_Runs, _Decisions],
+                ids=["RunStore", "DecisionStore"])
+def kind(request):
+    return request.param
+
+
+def _walls(kind, root):
+    """Wall times of every record a fresh handle on ``root`` reads."""
+    return sorted(doc["wall_time"] for doc in kind.records(kind.open(root)))
+
+
+def _all_segment_bytes(root):
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("seg-*.jsonl")}
+
+
+def test_battery_torn_and_corrupt_lines_skipped_and_counted(tmp_path, kind):
+    store = kind.open(tmp_path)
+    store.append(kind.doc(0))
+    with open(store._log.shard_dir(kind.doc(0)) / "open.jsonl", "a") as fh:
+        fh.write('not json\n{"truncated": ')  # bit rot, then a dead writer
+    assert _walls(kind, tmp_path) == [0.0]
+    # both lines die with the folded files, and are counted doing so
+    assert store.compact()["skipped"] == 2
+    assert store.compact()["skipped"] == 0
+    assert _walls(kind, tmp_path) == [0.0]
+
+
+def test_battery_concurrent_appends_during_compact_lose_nothing(tmp_path,
+                                                                kind):
+    docs = [kind.doc(i) for i in range(120)]
+
+    def writer(chunk):
+        store = kind.open(tmp_path)  # own handle, own fds
+        for doc in chunk:
+            store.append(dict(doc))
+
+    threads = [threading.Thread(target=writer, args=(docs[i::3],))
+               for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave writers and compactions finely
+    try:
+        for t in threads:
+            t.start()
+        compactor = kind.open(tmp_path)
+        for _ in range(8):
+            compactor.compact()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    compactor.compact()
+    assert _walls(kind, tmp_path) == [float(i) for i in range(120)]
+
+
+def test_battery_compact_is_order_independent_and_byte_identical(tmp_path,
+                                                                 kind):
+    docs = [kind.doc(i, coll) for i in range(6)
+            for coll in ("bcast", "allreduce")]
+    a = kind.open(tmp_path / "a")
+    b = kind.open(tmp_path / "b")
+    for doc in docs:
+        a.append(dict(doc))
+    for doc in reversed(docs):
+        b.append(dict(doc))
+        b.append(dict(doc))  # exact duplicates must fold away
+    a.compact()
+    b.compact()
+    segs = _all_segment_bytes(a.root)
+    assert len(segs) >= 2 and segs == _all_segment_bytes(b.root)
+    assert kind.records(kind.open(a.root)) == kind.records(kind.open(b.root))
+
+
+def test_battery_recompact_is_a_no_op(tmp_path, kind):
+    store = kind.open(tmp_path)
+    for i in range(6):
+        store.append(kind.doc(i))
+    store.compact()
+    files = {str(p.relative_to(tmp_path)): p.read_bytes()
+             for p in tmp_path.rglob("*") if p.is_file()}
+    res = store.compact()
+    assert res["records"] == 6
+    assert {str(p.relative_to(tmp_path)): p.read_bytes()
+            for p in tmp_path.rglob("*") if p.is_file()} == files
+    assert _walls(kind, tmp_path) == [float(i) for i in range(6)]
+
+
+def test_battery_append_from_second_handle_mid_compaction(tmp_path, kind,
+                                                          monkeypatch):
+    """A record that lands while compact() is between reading a shard and
+    removing its old files must survive the compaction."""
+    store = kind.open(tmp_path)
+    store.append(kind.doc(0))
+    real_replace = os.replace
+    fired = []
+
+    def replace(src, dst):
+        # the segment is published after the shard was read and before
+        # the folded files are removed
+        name = os.path.basename(os.fspath(dst))
+        if not fired and name.startswith("seg-") and name.endswith(".jsonl"):
+            fired.append(name)
+            kind.open(tmp_path).append(kind.doc(1))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    store.compact()
+    monkeypatch.undo()
+    assert fired
+    assert _walls(kind, tmp_path) == [0.0, 1.0]

@@ -127,3 +127,16 @@ def test_bench_floor_failure_exits_1(tmp_path):
                  "--repeat", "1", "--floor", "1e18",
                  "--out", str(out)]) == 1
     assert json.loads(out.read_text())["floor_ok"] is False
+
+
+def test_bench_mixed_batch_holds_every_provenance(tmp_path):
+    from repro.serve.cli import _bench_queries
+    from repro.serve.service import DecisionService
+
+    store = DecisionStore(_warm(tmp_path))
+    for n in (4, 64):
+        mixed = _bench_queries(store, n)["mixed"]
+        assert len(mixed) == n
+        provenance = {d.provenance for d in
+                      DecisionService(store).decide_batch(mixed)}
+        assert provenance == {"exact", "nearest", "interpolated", "default"}

@@ -212,3 +212,16 @@ def test_torn_and_foreign_lines_are_skipped(tmp_path):
     again = DecisionStore(tmp_path / "ds")
     recs = again.records(band, "bcast")
     assert len(recs) == 1 and recs[0]["nbytes"] == float(64 * KiB)
+
+
+def test_stats_count_skipped_lines(tmp_path):
+    m = _machine()
+    store = DecisionStore(tmp_path / "ds")
+    store.put_decision(m, "bcast", 64 * KiB, _config(), expected_time=1e-4)
+    shard = tmp_path / "ds" / band_digest(m)[:16] / "bcast" / "open.jsonl"
+    with open(shard, "a") as fh:
+        fh.write('not json\n{"key": "torn-write-from-a-dead-wri')
+    again = DecisionStore(tmp_path / "ds")
+    assert len(again.records(band_digest(m), "bcast")) == 1
+    assert again.stats()["skipped"] == 2
+    assert DecisionStore().stats()["skipped"] == 0
