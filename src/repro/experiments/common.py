@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 from repro.hardware import shaheen2, stampede2
 from repro.hardware.spec import MachineSpec
 from repro.tuning import Autotuner, LookupTable, SearchSpace
+from repro.util.logstore import write_atomic
 
 __all__ = [
     "RESULT_HEADER_KEYS",
@@ -200,7 +201,7 @@ def save_result(name: str, payload: dict, config=None) -> Path:
     payload["config_digest"] = config_digest(config)
     payload["_generated"] = time.strftime("%Y-%m-%d %H:%M:%S")
     path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=1, default=str))
+    write_atomic(path, json.dumps(payload, indent=1, default=str))
     return path
 
 

@@ -2,11 +2,12 @@
 
 :class:`DecisionService` answers batches of
 ``(machine | band, collective, nbytes, commsize)`` queries at memory
-speed.  Resolution mirrors the runtime decision contract of
-:meth:`repro.tuning.lookup.LookupTable.decide` — geometry dominates,
-message size is the fastest-varying axis, equidistant candidates break
-ties on the canonical ``(n, p, nbytes)`` order — and every answer is
-stamped with provenance:
+speed.  Resolution is the one lookup core,
+:meth:`repro.tuning.lookup.LookupIndex.resolve` -- the same rule
+:meth:`~repro.tuning.lookup.LookupTable.decide` answers with: exact
+probe, nearest commsize geometry with the querying machine's own split
+winning ties, log-nearest size with the canonical ``(dm, n, p, nbytes)``
+tie-break.  Every answer is stamped with provenance:
 
 =============  ==================================================
 ``exact``      the point was tuned: geometry and nbytes both hit
@@ -36,9 +37,7 @@ observability plane as the simulator.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from math import log2
 from typing import Optional, Sequence
 
 from repro.core.config import HanConfig
@@ -47,10 +46,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.guidelines import Verdict, validate_decision, verdict_from
 from repro.serve.guidelines import COMPOSITIONS, GuidelineCheck
 from repro.serve.store import DecisionStore, band_digest
+from repro.tuning.lookup import LookupIndex
 
 __all__ = ["Decision", "DecisionService", "Query"]
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,37 +104,6 @@ class Decision:
         }
 
 
-class _ShardIndex:
-    """Point/geometry/size indexes over one shard's resolved records."""
-
-    __slots__ = ("points", "geoms", "sizes", "comm_geom")
-
-    def __init__(self, records: Sequence[dict]):
-        #: (n, p, nbytes) -> record  (the O(1) exact-hit path)
-        self.points: dict[tuple[int, int, float], dict] = {}
-        #: sorted [(commsize, n, p)] for geometry-distance scans
-        self.geoms: list[tuple[int, int, int]] = []
-        #: (n, p) -> sorted sampled nbytes
-        self.sizes: dict[tuple[int, int], list[float]] = {}
-        #: commsize -> canonical (n, p) when exactly one geometry has it
-        self.comm_geom: dict[int, Optional[tuple[int, int]]] = {}
-        for rec in records:
-            n, p, m = int(rec["n"]), int(rec["p"]), float(rec["nbytes"])
-            self.points[(n, p, m)] = rec
-            geom = (n * p, n, p)
-            if geom not in self.geoms:
-                insort(self.geoms, geom)
-            insort(self.sizes.setdefault((n, p), []), m)
-            cur = self.comm_geom.get(n * p, ())
-            if cur == ():
-                self.comm_geom[n * p] = (n, p)
-            elif cur is not None and cur != (n, p):
-                self.comm_geom[n * p] = None  # ambiguous commsize
-
-    def __bool__(self) -> bool:
-        return bool(self.points)
-
-
 def _default_verdict(reason: str) -> Verdict:
     return verdict_from([GuidelineCheck(
         name="default config", passed=True, severity="ok",
@@ -163,7 +130,7 @@ class DecisionService:
         self.spans: list[Span] = []
         self.max_spans = max_spans
         self._next_sid = 0
-        self._indexes: dict[tuple[str, str], tuple[int, _ShardIndex]] = {}
+        self._indexes: dict[tuple[str, str], tuple[int, LookupIndex]] = {}
         self._verdicts: dict[str, Verdict] = {}
         self._band_cache: dict[int, str] = {}
         # hot-path caches: parsed configs per record, resolved counter
@@ -180,11 +147,14 @@ class DecisionService:
             self._band_cache[id(machine)] = band
         return band
 
-    def _index(self, band: str, coll: str) -> _ShardIndex:
+    def _index(self, band: str, coll: str) -> LookupIndex:
+        """The shard's lookup index; each point's payload is its record."""
         cached = self._indexes.get((band, coll))
         if cached is not None and cached[0] == self.store.version:
             return cached[1]
-        idx = _ShardIndex(self.store.records(band, coll))
+        idx = LookupIndex()
+        for rec in self.store.records(band, coll):
+            idx.add(int(rec["n"]), int(rec["p"]), float(rec["nbytes"]), rec)
         self._indexes[(band, coll)] = (self.store.version, idx)
         return idx
 
@@ -229,10 +199,15 @@ class DecisionService:
 
     def decide(self, q: Query) -> Decision:
         band, commsize = self._resolve(q)
-        idx = self._index(band, q.coll)
-        m = float(q.nbytes)
+        own = ((q.machine.num_nodes, q.machine.ppn)
+               if q.machine is not None else None)
+        return self._decide(q, band, commsize, own)
 
-        if not idx:
+    def _decide(self, q: Query, band: str, commsize: int,
+                own: Optional[tuple[int, int]]) -> Decision:
+        m = float(q.nbytes)
+        hit = self._index(band, q.coll).resolve(m, commsize, own)
+        if hit is None:
             decision = Decision(
                 query=Query(q.coll, m, commsize, None, band),
                 config=_default_config(m),
@@ -243,73 +218,14 @@ class DecisionService:
             )
             self._count(decision)
             return decision
-
-        # O(1) exact-hit fast path: known geometry, sampled nbytes
-        rec = None
-        if q.machine is not None:
-            rec = idx.points.get((q.machine.num_nodes, q.machine.ppn, m))
-        if rec is None:
-            geom = idx.comm_geom.get(commsize)
-            if geom:
-                rec = idx.points.get((geom[0], geom[1], m))
-        if rec is not None:
-            return self._finish(q, band, commsize, rec, "exact",
-                                rec.get("expected_time"))
-
-        # geometry: smallest log-distance on commsize, all ties kept;
-        # when the querying machine's own (n, p) is among the ties it
-        # wins outright (same commsize, different split)
-        lc = log2(max(commsize, 1))
-        best_gd = min(abs(log2(c) - lc) for c, _n, _p in idx.geoms)
-        geo = [(n, p) for c, n, p in idx.geoms
-               if abs(log2(c) - lc) <= best_gd + _EPS]
-        if q.machine is not None:
-            own = (q.machine.num_nodes, q.machine.ppn)
-            if own in geo:
-                geo = [own]
-        geometry_exact = best_gd <= _EPS
-
-        # nbytes: nearest sampled size among the tied geometries;
-        # equidistant candidates fall back to the canonical (dm, n, p, m)
-        # order — the PR 2 decide() tie-break, never insertion order
-        lm = log2(max(m, 1.0))
-        cands: list[tuple[float, int, int, float]] = []
-        for n, p in geo:
-            sizes = idx.sizes[(n, p)]
-            i = bisect_left(sizes, m)
-            for j in (i - 1, i):
-                if 0 <= j < len(sizes):
-                    ms = sizes[j]
-                    cands.append(
-                        (abs(log2(max(ms, 1.0)) - lm), n, p, ms))
-        dm, n, p, ms = min(cands)
-        rec = idx.points[(n, p, ms)]
+        rec, provenance, bracket = hit
         served_time = rec.get("expected_time")
-
-        if geometry_exact and dm <= _EPS:
-            provenance = "exact"
-        elif geometry_exact:
-            # interior query: interpolate between the bracketing samples
-            sizes = idx.sizes[(n, p)]
-            i = bisect_left(sizes, m)
-            if 0 < i < len(sizes):
-                lo, hi = sizes[i - 1], sizes[i]
-                t_lo = idx.points[(n, p, lo)].get("expected_time")
-                t_hi = idx.points[(n, p, hi)].get("expected_time")
-                provenance = "interpolated"
-                if t_lo is not None and t_hi is not None:
-                    span = log2(hi) - log2(lo)
-                    w = (lm - log2(lo)) / span if span > 0 else 0.0
-                    served_time = t_lo + w * (t_hi - t_lo)
-            else:
-                provenance = "nearest"  # outside the sampled range
-        else:
-            provenance = "nearest"
-
-        return self._finish(q, band, commsize, rec, provenance, served_time)
-
-    def _finish(self, q: Query, band: str, commsize: int, rec: dict,
-                provenance: str, served_time) -> Decision:
+        if bracket is not None:
+            # log-log interpolation between the bracketing samples
+            lo, hi, w = bracket
+            t_lo, t_hi = lo.get("expected_time"), hi.get("expected_time")
+            if t_lo is not None and t_hi is not None:
+                served_time = t_lo + w * (t_hi - t_lo)
         verdict = (self._verdict_for(band, rec) if self.validate
                    else _default_verdict("validation disabled"))
         config = self._configs.get(rec["key"])
@@ -318,7 +234,7 @@ class DecisionService:
             self._configs[rec["key"]] = config
         refused = self.strict and not verdict.ok
         decision = Decision(
-            query=Query(q.coll, float(q.nbytes), commsize, None, band),
+            query=Query(q.coll, m, commsize, None, band),
             config=None if refused else config,
             provenance=provenance,
             expected_time=served_time,
@@ -378,8 +294,9 @@ class DecisionService:
         band = self._band_for(machine)
 
         def decide(n: int, p: int, nbytes: float, coll: str) -> HanConfig:
-            d = self.decide(Query(coll=coll, nbytes=nbytes,
-                                  commsize=int(n) * int(p), band=band))
+            n, p = int(n), int(p)
+            d = self._decide(Query(coll=coll, nbytes=nbytes, band=band),
+                             band, n * p, (n, p))
             if d.config is None:
                 return HanModule.default_config(nbytes)
             return d.config

@@ -14,8 +14,10 @@ Two-step autotuning, as the paper frames it:
      (eqs. 3 and 4) -- the paper's contribution;
    - ``task+h``           -- the task method pruned by heuristics.
 
-2. *Decide at runtime*: interpolate the lookup table for arbitrary
-   inputs (:class:`~repro.tuning.lookup.LookupTable` plugs into
+2. *Decide at runtime*: resolve arbitrary inputs to the nearest sampled
+   point through the one lookup core
+   (:class:`~repro.tuning.lookup.LookupIndex`;
+   :class:`~repro.tuning.lookup.LookupTable` plugs into
    :class:`~repro.core.HanModule` as its decision function).
 """
 
@@ -46,7 +48,6 @@ from repro.tuning.costmodel import (
 )
 from repro.tuning.heuristics import prune_configs
 from repro.tuning.lookup import LookupTable
-from repro.tuning.decision_tree import DecisionRules, compile_rules
 from repro.tuning.online import OnlineTuner
 from repro.tuning.autotuner import Autotuner, TuningReport
 
@@ -57,7 +58,6 @@ __all__ = [
     "BanditResult",
     "BcastTaskCosts",
     "CollectiveMeasurement",
-    "DecisionRules",
     "LookupTable",
     "MeasurePoint",
     "MeasurementCache",
@@ -69,7 +69,6 @@ __all__ = [
     "TuningInputs",
     "TuningReport",
     "canonical",
-    "compile_rules",
     "costs_from_doc",
     "costs_to_doc",
     "digest",

@@ -1,30 +1,46 @@
-"""The autotuning lookup table and its runtime decision function.
+"""The autotuning lookup table and the one runtime lookup core.
 
 Step 2 of autotuning (paper III-C): the offline search stores the best
 configuration per sampled input (t, n, p, m) "to a lookup table in a
 file"; at runtime, inputs that fall between samples are resolved to the
-nearest sampled point (log-scale nearest for the message size -- the
-simple, robust variant of the quadtree/decision-tree encodings the paper
-cites [35, 36]).
+nearest sampled point (log-scale nearest -- the simple, robust variant
+of the quadtree/decision-tree encodings the paper cites [35, 36]).
+
+:class:`LookupIndex` is that resolution rule, and the only copy of it:
+:meth:`LookupTable.decide` and
+:class:`~repro.serve.service.DecisionService` both answer through it.
+Per collective, it resolves a query ``(nbytes, commsize, own split)``:
+
+1. **exact** -- the caller's own ``(n, p)`` sampled at ``nbytes``, else
+   the one geometry sampled at this commsize (one dict probe each);
+2. **geometry** -- the sampled geometries nearest in ``log2(commsize)``,
+   all ties kept; the caller's own split wins outright when among them;
+3. **size** -- the log-nearest sampled ``nbytes`` of those geometries,
+   equidistant candidates broken on the canonical ``(dm, n, p, m)``
+   order, never on insertion order;
+4. **bracket** -- on an exact geometry, a size strictly between two
+   samples is *interpolated*; anything else is *nearest*.
 
 ``decide`` is a hot path (one call per collective invocation), so the
-table keeps a per-collective key index maintained on ``put`` -- the
-candidate set for a decision is O(samples of that collective), never a
-scan of every entry of every collective.
+index is built once per collective and kept current incrementally.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from math import log2
 from pathlib import Path
 from typing import Optional
 
 from repro.core.config import HanConfig
 from repro.core.han import HanModule
+from repro.util.logstore import write_atomic
 
-__all__ = ["LookupTable", "config_to_dict"]
+__all__ = ["LookupIndex", "LookupTable", "config_to_dict"]
+
+_EPS = 1e-12
 
 
 def config_to_dict(cfg: HanConfig) -> dict:
@@ -40,7 +56,92 @@ def config_to_dict(cfg: HanConfig) -> dict:
     }
 
 
-_cfg_to_dict = config_to_dict  # backwards-compatible alias
+class LookupIndex:
+    """Sampled ``(n, p, nbytes)`` points of one collective.
+
+    Each point carries an opaque payload -- whatever its owner answers
+    with: a table key for :class:`LookupTable`, a store record for the
+    serving layer.
+    """
+
+    __slots__ = ("points", "geoms", "sizes", "comm_geom")
+
+    def __init__(self):
+        #: (n, p, nbytes) -> payload  (the O(1) exact-hit path)
+        self.points: dict[tuple[int, int, float], object] = {}
+        #: sorted [(commsize, n, p)] for geometry-distance scans
+        self.geoms: list[tuple[int, int, int]] = []
+        #: (n, p) -> sorted sampled nbytes
+        self.sizes: dict[tuple[int, int], list[float]] = {}
+        #: commsize -> its (n, p) when exactly one geometry has it
+        self.comm_geom: dict[int, Optional[tuple[int, int]]] = {}
+
+    def add(self, n: int, p: int, nbytes: float, payload) -> None:
+        point = (n, p, nbytes)
+        if point not in self.points:
+            sizes = self.sizes.get((n, p))
+            if sizes is None:
+                sizes = self.sizes[(n, p)] = []
+                insort(self.geoms, (n * p, n, p))
+                # a second split of one commsize makes it ambiguous
+                self.comm_geom[n * p] = (
+                    None if n * p in self.comm_geom else (n, p))
+            insort(sizes, nbytes)
+        self.points[point] = payload
+
+    def resolve(self, nbytes: float, commsize: int,
+                own: Optional[tuple[int, int]] = None):
+        """``(payload, provenance, bracket)``, or None when empty.
+
+        ``provenance`` is ``"exact"``, ``"interpolated"`` or
+        ``"nearest"``.  ``bracket`` is None except for interpolated
+        answers, where it is ``(lo payload, hi payload, w)``: the two
+        samples around ``nbytes`` and its log-scale weight between them.
+        """
+        points = self.points
+        if own is not None:
+            hit = points.get((own[0], own[1], nbytes))
+            if hit is not None:
+                return hit, "exact", None
+        geom = self.comm_geom.get(commsize)
+        if geom:
+            hit = points.get((geom[0], geom[1], nbytes))
+            if hit is not None:
+                return hit, "exact", None
+        if not self.geoms:
+            return None
+
+        lc = log2(max(commsize, 1))
+        dists = [(abs(log2(c) - lc), n, p) for c, n, p in self.geoms]
+        best_gd = min(dists)[0]
+        geo = [(n, p) for d, n, p in dists if d <= best_gd + _EPS]
+        if own in geo:
+            geo = [own]
+
+        lm = log2(max(nbytes, 1.0))
+        cands: list[tuple[float, int, int, float]] = []
+        for n, p in geo:
+            sizes = self.sizes[(n, p)]
+            i = bisect_left(sizes, nbytes)
+            for j in (i - 1, i):
+                if 0 <= j < len(sizes):
+                    ms = sizes[j]
+                    cands.append((abs(log2(max(ms, 1.0)) - lm), n, p, ms))
+        dm, n, p, ms = min(cands)
+        hit = points[(n, p, ms)]
+
+        if best_gd > _EPS:
+            return hit, "nearest", None
+        if dm <= _EPS:
+            return hit, "exact", None
+        sizes = self.sizes[(n, p)]
+        i = bisect_left(sizes, nbytes)
+        if not 0 < i < len(sizes):
+            return hit, "nearest", None  # outside the sampled range
+        lo, hi = sizes[i - 1], sizes[i]
+        span = log2(hi) - log2(lo)
+        w = (lm - log2(lo)) / span if span > 0 else 0.0
+        return hit, "interpolated", (points[(n, p, lo)], points[(n, p, hi)], w)
 
 
 def _table_digest(rows: list[dict]) -> str:
@@ -55,48 +156,45 @@ class LookupTable:
     """(t, n, p, m) -> HanConfig with nearest-sample decisions."""
 
     entries: dict = field(default_factory=dict)  # (t, n, p, m) -> HanConfig
-    #: t -> [keys]; maintained on put, rebuilt if entries were mutated
-    #: behind the table's back (len mismatch is the staleness signal)
-    _by_coll: dict = field(default_factory=dict, repr=False, compare=False)
+    #: t -> LookupIndex over that collective's keys (configs stay in
+    #: ``entries``, so an overwrite is never served stale)
+    _indexes: dict = field(default_factory=dict, repr=False, compare=False)
+    #: keys put since the last decide, indexed on the next one
+    _pending: list = field(default_factory=list, repr=False, compare=False)
+    _indexed: int = field(default=0, repr=False, compare=False)
 
     def put(self, t: str, n: int, p: int, m: float, cfg: HanConfig) -> None:
         key = (t, int(n), int(p), float(m))
         if key not in self.entries:
-            self._by_coll.setdefault(t, []).append(key)
+            self._pending.append(key)
         self.entries[key] = cfg
 
     def get(self, t: str, n: int, p: int, m: float) -> Optional[HanConfig]:
         return self.entries.get((t, int(n), int(p), float(m)))
 
-    def _candidates(self, t: str) -> list:
-        if sum(len(keys) for keys in self._by_coll.values()) != len(self.entries):
-            # entries dict was written to directly: rebuild the index
-            self._by_coll = {}
-            for key in self.entries:
-                self._by_coll.setdefault(key[0], []).append(key)
-        return self._by_coll.get(t, [])
+    def _index(self, t: str) -> Optional[LookupIndex]:
+        """The collective's index, current with ``entries``."""
+        if self._indexed + len(self._pending) != len(self.entries):
+            # entries was written to directly: re-index every key
+            self._indexes, self._indexed = {}, 0
+            self._pending = list(self.entries)
+        if self._pending:
+            for key in self._pending:
+                self._indexes.setdefault(key[0], LookupIndex()).add(*key[1:], key)
+            self._indexed += len(self._pending)
+            self._pending.clear()
+        return self._indexes.get(t)
 
     # -- runtime decision ---------------------------------------------------------
 
     def decide(self, n: int, p: int, m: float, t: str) -> HanConfig:
         """Nearest-sample decision; signature matches HanModule hooks."""
-        candidates = self._candidates(t)
-        if not candidates:
+        index = self._index(t)
+        n, p = int(n), int(p)
+        hit = index.resolve(float(m), n * p, (n, p)) if index is not None else None
+        if hit is None:
             return HanModule.default_config(m)
-
-        def key_distance(k):
-            _t, kn, kp, km = k
-            dn = abs(math.log2(max(kn, 1)) - math.log2(max(n, 1)))
-            dp = abs(math.log2(max(kp, 1)) - math.log2(max(p, 1)))
-            dm = abs(math.log2(max(km, 1.0)) - math.log2(max(m, 1.0)))
-            # message size is the fastest-varying axis; geometry dominates.
-            # Equidistant keys tie-break on the canonical (n, p, m) sort
-            # order — never on dict insertion order, which differs
-            # between a freshly built table and its save/load round-trip.
-            return (dn + dp, dm, kn, kp, km)
-
-        best = min(candidates, key=key_distance)
-        return self.entries[best]
+        return self.entries[hit[0]]
 
     def as_decision_fn(self):
         """Plug into :class:`~repro.core.HanModule`(decision_fn=...)."""
@@ -114,7 +212,7 @@ class LookupTable:
             {"t": t, "n": n, "p": p, "m": m, "config": config_to_dict(cfg)}
             for (t, n, p, m), cfg in sorted(self.entries.items())
         ]
-        Path(path).write_text(json.dumps({
+        write_atomic(path, json.dumps({
             "version": 1,
             "schema_version": RESULT_SCHEMA_VERSION,
             "config_digest": config_digest(None),

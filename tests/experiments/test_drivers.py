@@ -55,6 +55,21 @@ def test_save_result_writes_json(tmp_path, monkeypatch):
     assert "_generated" in doc
 
 
+def test_save_result_failed_publish_keeps_the_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+    path = save_result("unit_test", {"x": 1})
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_result("unit_test", {"x": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["unit_test.json"]
+
+
 def test_fig11_runs_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
     from repro.experiments import fig11

@@ -12,12 +12,7 @@ from repro.comparators import OpenMPIDefault, OpenMPIHan
 from repro.core import HanConfig, HanModule
 from repro.hardware import shaheen2, tiny_cluster
 from repro.mpi import MPIRuntime, SUM
-from repro.tuning import (
-    Autotuner,
-    LookupTable,
-    SearchSpace,
-    compile_rules,
-)
+from repro.tuning import Autotuner, LookupTable, SearchSpace
 
 KiB, MiB = 1024, 1024 * 1024
 
@@ -46,15 +41,6 @@ def test_tuned_han_beats_default_large_bcast(tuned_table):
     t_han = imb_run(MACHINE, han, "bcast", sizes).times[0]
     t_omp = imb_run(MACHINE, omp, "bcast", sizes).times[0]
     assert t_han < t_omp
-
-
-def test_decision_rules_equivalent_to_table(tuned_table):
-    rules = compile_rules(tuned_table)
-    for m in SPACE.messages:
-        assert rules.decide(
-            MACHINE.num_nodes, MACHINE.ppn, m, "bcast"
-        ) == tuned_table.decide(MACHINE.num_nodes, MACHINE.ppn, m, "bcast")
-    assert rules.compression >= 1.0
 
 
 def test_tuned_decisions_used_with_data(tuned_table):

@@ -195,6 +195,20 @@ def test_as_decision_fn_matches_table_and_defaults_on_refusal():
     assert strict_fn(2, 2, 64.0, "bcast") == HanModule.default_config(64.0)
 
 
+def test_as_decision_fn_keeps_the_callers_own_split():
+    machine = _machine()  # 2x2, commsize 4
+    store = DecisionStore()
+    _put(store, machine, 64 * KiB, 64 * KiB, 1e-4)
+    store.put_decision(machine, "bcast", 64 * KiB, HanConfig(fs=256 * KiB),
+                       expected_time=1e-4, n=4, p=1)
+    fn = DecisionService(store).as_decision_fn(machine)
+    # both splits of commsize 4 are stored: each job gets its own point
+    assert fn(2, 2, 64 * KiB, "bcast").fs == 64 * KiB
+    assert fn(4, 1, 64 * KiB, "bcast").fs == 256 * KiB
+    # off-sample sizes stay on the caller's split too
+    assert fn(4, 1, 48 * KiB, "bcast").fs == 256 * KiB
+
+
 def test_query_needs_platform_identity():
     svc = DecisionService(DecisionStore())
     with pytest.raises(ValueError):

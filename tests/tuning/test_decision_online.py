@@ -1,6 +1,4 @@
-"""Tests for the interval decision rules and the online (STAR-MPI) tuner."""
-
-import math
+"""Tests for lookup-table tie-breaking and the online (STAR-MPI) tuner."""
 
 import numpy as np
 import pytest
@@ -9,84 +7,14 @@ from repro.core import HanConfig
 from repro.hardware import tiny_cluster
 from repro.mpi import MPIRuntime, SUM
 from repro.tuning import LookupTable
-from repro.tuning.decision_tree import DecisionRules, compile_rules
 from repro.tuning.online import OnlineTuner
 
 KiB, MiB = 1024, 1024 * 1024
 
-SMALL = HanConfig(fs=None)
 MID = HanConfig(fs=256 * KiB, imod="adapt", smod="sm", ibalg="binary",
                 iralg="binary")
 BIG = HanConfig(fs=2 * MiB, imod="adapt", smod="solo", ibalg="chain",
                 iralg="chain")
-
-
-def sample_table():
-    t = LookupTable()
-    sizes = [2.0 ** k for k in range(10, 26)]  # 1KB .. 32MB
-    for m in sizes:
-        if m <= 64 * KiB:
-            cfg = SMALL
-        elif m <= 2 * MiB:
-            cfg = MID
-        else:
-            cfg = BIG
-        t.put("bcast", 8, 4, m, cfg)
-    return t
-
-
-class TestDecisionRules:
-    def test_compiles_to_three_intervals(self):
-        rules = compile_rules(sample_table())
-        assert rules.num_rules == 3
-        assert rules.compression > 5
-
-    def test_decisions_match_table_on_samples(self):
-        table = sample_table()
-        rules = compile_rules(table)
-        for (t, n, p, m), cfg in table.entries.items():
-            assert rules.decide(n, p, m, t) == cfg, m
-
-    def test_interval_boundaries_are_geometric_means(self):
-        rules = compile_rules(sample_table())
-        band = rules.bands[("bcast", 8, 4)]
-        # boundary between 64KB (SMALL) and 128KB (MID) samples
-        assert band.uppers[0] == pytest.approx(
-            math.sqrt(64 * KiB * 128 * KiB)
-        )
-        assert band.uppers[-1] == math.inf
-
-    def test_unsampled_sizes_get_nearest_interval(self):
-        rules = compile_rules(sample_table())
-        assert rules.decide(8, 4, 3 * KiB, "bcast") == SMALL
-        assert rules.decide(8, 4, 1 * MiB, "bcast") == MID
-        assert rules.decide(8, 4, 256 * MiB, "bcast") == BIG
-
-    def test_nearest_geometry_fallback(self):
-        rules = compile_rules(sample_table())
-        assert rules.decide(9, 5, 16 * MiB, "bcast") == BIG
-
-    def test_unknown_collective_default(self):
-        rules = compile_rules(sample_table())
-        cfg = rules.decide(8, 4, 1 * MiB, "allreduce")
-        assert isinstance(cfg, HanConfig)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        rules = compile_rules(sample_table())
-        path = tmp_path / "rules.json"
-        rules.save(path)
-        loaded = DecisionRules.load(path)
-        assert loaded.num_rules == rules.num_rules
-        for m in (4 * KiB, 1 * MiB, 16 * MiB):
-            assert loaded.decide(8, 4, m, "bcast") == rules.decide(
-                8, 4, m, "bcast"
-            )
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"version": 9, "bands": []}')
-        with pytest.raises(ValueError):
-            DecisionRules.load(p)
 
 
 class TestLookupTieBreaking:

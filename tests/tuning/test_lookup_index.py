@@ -48,7 +48,7 @@ def test_indexed_decide_matches_linear_scan():
 
 def test_candidates_are_scoped_to_the_collective():
     table = _table()
-    assert len(table._candidates("bcast")) == 8
+    assert len(table._index("bcast").points) == 8
     assert len(table.entries) == 24
     # an unknown collective gets the default config, not a cross-coll hit
     from repro.core.han import HanModule
@@ -73,7 +73,7 @@ def test_put_same_key_twice_keeps_one_entry():
     table.put("bcast", 2, 2, 64 * KiB, HanConfig(fs=128 * KiB))
     assert len(table) == 1
     assert table.get("bcast", 2, 2, 64 * KiB).fs == 128 * KiB
-    assert len(table._candidates("bcast")) == 1
+    assert len(table._index("bcast").points) == 1
 
 
 def test_save_stamps_headers_and_round_trips(tmp_path):
@@ -91,6 +91,23 @@ def test_save_stamps_headers_and_round_trips(tmp_path):
     for t in ("bcast", "allreduce"):
         for m in (1.0, 31 * KiB, 2 ** 30):
             assert loaded.decide(3, 2, m, t) == table.decide(3, 2, m, t)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    _table().save(path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    bigger = _table()
+    bigger.put("gather", 2, 2, float(KiB), HanConfig(fs=1 * KiB))
+    with pytest.raises(OSError, match="disk full"):
+        bigger.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_load_rejects_rows_that_contradict_the_stamp(tmp_path):
