@@ -4,13 +4,13 @@
 Times the same tuning workload under two end-to-end configurations:
 
 - **before** — the ``reference`` fluid solver with the progressive-fill
-  memo disabled, driven by the ``scalar`` one-event-at-a-time engine
-  kernel: the pre-optimization implementation (both pieces are retained
-  as correctness oracles);
+  memo disabled: the pre-optimization solver, retained as the
+  correctness oracle;
 - **after** — the default configuration: the ``incremental`` solver
   (component-local re-solves, lazy completion heap) with the
-  process-wide solve memo enabled, driven by the ``batched`` engine
-  kernel (same-instant retirement in one numpy pass).
+  process-wide solve memo enabled.
+
+Both run on the one event engine.
 
 Repetitions are interleaved (before/after/before/after …) and the
 minimum per configuration is reported, which suppresses machine noise
@@ -57,16 +57,15 @@ KiB, MiB = 1024, 1024 * 1024
 TOLERANCE = 0.20
 
 CONFIGS = {
-    # (REPRO_FLUID_SOLVER, REPRO_FLUID_FILL_MEMO, REPRO_ENGINE_KERNEL)
-    "before": ("reference", "0", "scalar"),
-    "after": ("incremental", "1", "batched"),
+    # (REPRO_FLUID_SOLVER, REPRO_FLUID_FILL_MEMO)
+    "before": ("reference", "0"),
+    "after": ("incremental", "1"),
 }
 
 
-def _solver_env(mode: str, memo: str, kernel: str) -> None:
+def _solver_env(mode: str, memo: str) -> None:
     os.environ["REPRO_FLUID_SOLVER"] = mode
     os.environ["REPRO_FLUID_FILL_MEMO"] = memo
-    os.environ["REPRO_ENGINE_KERNEL"] = kernel
 
 
 def tuning_workload(quick: bool):
@@ -194,7 +193,7 @@ def critpath_profile() -> dict:
     Records one medium-geometry allreduce through :mod:`repro.obs` and
     attributes its simulated critical path (cpu / net / wait) via
     :mod:`repro.obs.critpath` — the breakdown that says *where* the
-    events the kernel retires actually come from.
+    events the engine retires actually come from.
     """
     from repro.hardware import shaheen2
     from repro.obs.critpath import critical_path
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "repeat": args.repeat,
         "configs": {
-            c: dict(zip(("fluid_solver", "fill_memo", "engine_kernel"), env))
+            c: dict(zip(("fluid_solver", "fill_memo"), env))
             for c, env in CONFIGS.items()
         },
         "before": {k: best["before"][k] for k in
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
             return 1
         print("OK")
     if not doc["results_bit_identical"]:
-        print("FAIL: kernel configurations disagree — investigate before "
+        print("FAIL: solver configurations disagree — investigate before "
               "trusting any benchmark above")
         return 2
     if gate is not None and not gate["ok"]:

@@ -76,6 +76,13 @@ def _coll_span(fn):
     return wrapper
 
 
+def _count_fallback(comm, coll):
+    """Count one flat-star fallback; rank 0 counts for the whole communicator."""
+    rec = comm.runtime.engine.obs
+    if rec is not None and comm.rank == 0:
+        rec.metrics.counter("han.fallbacks", coll=coll).inc()
+
+
 def _spanned(rec, comm, name, nbytes, gen):
     sid = rec.begin(
         f"rank{comm.world_rank}", name, "coll", nbytes=nbytes, size=comm.size
@@ -306,6 +313,7 @@ class HanModule(CollModule):
             # it, so fall back to a flat star rooted at the coordinator
             # (linear bcast routes radiate from one node and can avoid a
             # failed non-root link).
+            _count_fallback(comm, "bcast")
             out = yield from bcast_linear(comm, nbytes, root=root, payload=payload)
             return out
         cfg = self.resolve_config(hier, nbytes, "bcast", config)
@@ -411,6 +419,7 @@ class HanModule(CollModule):
         if degraded:
             # Flat star fallback: reduce-to-root + broadcast-from-root
             # (star routes avoid a dead link between non-root nodes).
+            _count_fallback(comm, "allreduce")
             red = yield from reduce_linear(comm, nbytes, root=0, payload=payload, op=op)
             out = yield from bcast_linear(comm, nbytes, root=0, payload=red)
             return out

@@ -15,6 +15,7 @@ from repro.core.han import HanModule
 from repro.faults import FaultPlan, FaultyMachineSpec, LinkFlap
 from repro.hardware import small_cluster
 from repro.mpi import MPIRuntime
+from repro.obs import ObsRecorder
 
 KiB = 1024
 
@@ -110,3 +111,31 @@ def test_probe_disabled_is_bit_identical_to_seed_behavior():
     t_plain, _ = run_allreduce(base, HanModule())
     t_none, _ = run_allreduce(base, HanModule(degraded_timeout=None))
     assert t_plain == t_none
+
+
+def _fallback_counts(machine):
+    """Run one bcast and one allreduce under a recorder; returns the
+    ``han.fallbacks`` counter values by collective."""
+    runtime = MPIRuntime(machine)
+    han = HanModule(degraded_timeout=2e-3)
+
+    def prog(comm):
+        yield from han.bcast(comm, 8.0, root=0, payload=np.ones(1))
+        yield from han.allreduce(comm, 8.0, payload=np.ones(1))
+
+    with ObsRecorder(runtime.engine) as rec:
+        runtime.run(prog)
+    return {
+        dict(c.labels)["coll"]: c.value
+        for c in rec.metrics.counters if c.name == "han.fallbacks"
+    }
+
+
+def test_fallback_is_counted_once_per_collective():
+    assert _fallback_counts(dead_link_machine()) == {
+        "bcast": 1.0, "allreduce": 1.0,
+    }
+
+
+def test_healthy_fabric_counts_no_fallback():
+    assert _fallback_counts(ring5()) == {}

@@ -1,35 +1,39 @@
-"""Batched-vs-scalar engine kernel semantics and regression tests.
+"""Event-engine semantics, regression tests and a recorded-digest oracle.
 
-The batched kernel retires every entry due at one instant in a single
-pass over the two-tier queue (side heap + sorted bulk arrays), while the
-scalar kernel is the classic one-event-at-a-time heap loop kept as the
-differential baseline.  These tests pin the semantics both kernels must
-share:
+The engine's queue is one ``heapq`` of ``[time, key, fn]`` entries.
+These tests pin its semantics:
 
 - same-instant (priority, seq) total order, including entries scheduled
-  *during* the batch being retired,
+  *during* the instant being retired,
 - ``schedule_at`` firing at the bit-exact requested instant (no
   ``now + delta`` round trip),
-- lazy cancellation with threshold compaction (queue depth and slot
-  table stay bounded under schedule-then-cancel churn),
+- lazy cancellation with threshold compaction (queue depth stays
+  bounded under schedule-then-cancel churn),
 - the drained ``run(until=T)`` path advancing ``now`` to exactly ``T``,
 - the composite-wait callback sweeps (no dead-closure accumulation on
   long-lived events).
 
-The differential section replays the fluid fuzz schedules under both
-kernels and compares every observable — completion/abort instants,
-sampled rates, accounting integrals — plus the engine counters
-(``events``, ``batches``, final ``now``) bit-for-bit.
+The oracle section replays 20 random raw-engine schedules and the 225
+fluid fuzz schedules and checks a sha256 of every observable (fire log,
+sampled rates, accounting integrals, ``events``, ``batches``, final
+``now``) against ``engine_digests.json``.  The digests were recorded
+while the engine still had two kernels (a batched numpy one and this
+heap loop), which agreed on every value; the file stores the command
+that produced them.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.sim.engine import (
     _COMPACT_MIN,
-    _FLUSH_THRESHOLD,
     PRIORITY_LATE,
     AllOf,
     AnyOf,
@@ -39,38 +43,27 @@ from repro.sim.engine import (
 from repro.sim.fluid import FluidSolver
 from tests.sim.test_fluid_differential import make_schedule
 
-KERNELS = ("batched", "scalar")
+DIGESTS = Path(__file__).with_name("engine_digests.json")
+DIGEST_COMMAND = (
+    "PYTHONPATH=src python -m tests.sim.test_engine_kernels"
+    " > tests/sim/engine_digests.json"
+)
+REPLAY_SEEDS = range(20)
+FLUID_SEEDS = range(225)
 
 
-@pytest.fixture(params=KERNELS)
+@pytest.fixture(params=("batched", "scalar"))
 def kernel(request):
+    """The two ids of the retired kernel A/B, kept so every semantic
+    test keeps its id; both build the one engine."""
     return request.param
-
-
-# -- kernel selection ----------------------------------------------------------
-
-
-def test_default_kernel_is_batched():
-    assert Engine().kernel == "batched"
-
-
-def test_kernel_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_KERNEL", "scalar")
-    assert Engine().kernel == "scalar"
-    # an explicit constructor argument beats the environment
-    assert Engine(kernel="batched").kernel == "batched"
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="unknown engine kernel"):
-        Engine(kernel="quantum")
 
 
 # -- same-instant ordering ----------------------------------------------------
 
 
 def test_same_instant_priority_then_seq_order(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     order: list[str] = []
     eng.schedule_at(1.0, lambda: order.append("n0"))
     eng.schedule_at(1.0, lambda: order.append("late0"), priority=PRIORITY_LATE)
@@ -85,7 +78,7 @@ def test_mid_batch_scheduling_joins_the_batch(kernel):
     """Entries scheduled *during* a batch at the same instant keep the
     (priority, seq) total order: a fresh normal-priority entry still runs
     before a late-priority entry that was scheduled long before it."""
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     order: list[str] = []
 
     def first() -> None:
@@ -100,7 +93,7 @@ def test_mid_batch_scheduling_joins_the_batch(kernel):
 
 
 def test_batches_counts_distinct_instants(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     for t in (1.0, 1.0, 1.0, 2.0, 2.0, 3.0):
         eng.schedule_at(t, lambda: None)
     eng.run()
@@ -120,7 +113,7 @@ def test_schedule_at_fires_at_bit_exact_instant(kernel):
         for y in (0.9, 1.1, 1 / 7 + 1, 2.3)
         if x + (y - x) != y
     )
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     seen: list[float] = []
 
     def at_a() -> None:
@@ -133,7 +126,7 @@ def test_schedule_at_fires_at_bit_exact_instant(kernel):
 
 
 def test_schedule_at_current_instant_joins_current_batch(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     order: list[str] = []
 
     def first() -> None:
@@ -147,7 +140,7 @@ def test_schedule_at_current_instant_joins_current_batch(kernel):
 
 
 def test_schedule_at_past_rejected(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     eng.schedule_at(1.0, lambda: eng.schedule_at(0.5, lambda: None))
     with pytest.raises(ValueError, match="in the past"):
         eng.run()
@@ -157,7 +150,7 @@ def test_schedule_at_past_rejected(kernel):
 
 
 def test_run_until_advances_now_when_queue_drains_early(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     eng.schedule_at(1.0, lambda: None)
     assert eng.run(until=5.0) == 5.0
     assert eng.now == 5.0
@@ -165,7 +158,7 @@ def test_run_until_advances_now_when_queue_drains_early(kernel):
 
 
 def test_run_until_on_empty_queue(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     assert eng.run(until=3.0) == 3.0
     # an `until` in the past is a no-op, never a rewind
     assert eng.run(until=1.0) == 3.0
@@ -173,7 +166,7 @@ def test_run_until_on_empty_queue(kernel):
 
 
 def test_run_until_drained_with_blocked_process_is_not_deadlock(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     never = eng.event("never")
 
     def prog():
@@ -190,7 +183,7 @@ def test_run_until_drained_with_blocked_process_is_not_deadlock(kernel):
 
 
 def test_cancelled_callback_never_fires_and_clock_stays(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     fired: list[str] = []
     tok = eng.schedule_at(1.0, lambda: fired.append("boom"))
     eng.cancel(tok)
@@ -205,14 +198,14 @@ def test_cancelled_callback_never_fires_and_clock_stays(kernel):
 
 
 def test_stale_cancel_token_cannot_kill_a_recycled_slot(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     fired: list[str] = []
     tok = eng.schedule_at(1.0, lambda: fired.append("a"))
     eng.run()
     assert fired == ["a"]
     eng.cancel(tok)  # entry already fired: no-op
-    # the new entry typically reuses the freed slot; the stale token's
-    # packed key no longer matches, so this cancel must not touch it
+    # the stale token is the fired entry, whose callback is already
+    # cleared, so this cancel must not touch the new entry
     eng.schedule_at(2.0, lambda: fired.append("b"))
     eng.cancel(tok)
     eng.run()
@@ -221,10 +214,9 @@ def test_stale_cancel_token_cannot_kill_a_recycled_slot(kernel):
 
 def test_schedule_then_cancel_churn_stays_bounded(kernel):
     """A pure lazy-deletion heap grows without bound under this load;
-    the compacting slot table must stay O(live entries)."""
-    eng = Engine(kernel=kernel)
+    the compacting queue must stay O(live entries)."""
+    eng = Engine()
     live = [eng.schedule_at(1e9, lambda: None) for _ in range(8)]
-    table_cap = len(eng._q_fn)
     peak = 0
     for _ in range(200):
         tokens = [eng.schedule_at(1e9, lambda: None) for _ in range(64)]
@@ -233,21 +225,19 @@ def test_schedule_then_cancel_churn_stays_bounded(kernel):
         peak = max(peak, eng.queue_depth)
     assert peak <= 8 + 2 * _COMPACT_MIN
     assert eng.queue_depth < 8 + _COMPACT_MIN
-    assert len(eng._q_fn) == table_cap  # slot table never grew
     for tok in live:
         eng.cancel(tok)
 
 
 def test_compaction_covers_the_bulk_tier():
-    eng = Engine(kernel="batched")
-    n = _FLUSH_THRESHOLD + 100
+    eng = Engine()
+    n = 2048 + 100
     fired: list[int] = []
     tokens = [
         eng.schedule_at(10.0 + i, lambda i=i: fired.append(i))
         for i in range(n)
     ]
-    eng.run(until=1.0)  # first loop iteration flushes the side heap
-    assert eng._sorted_t.size >= _FLUSH_THRESHOLD
+    eng.run(until=1.0)  # nothing is due; the whole queue stays pending
     keep = 10
     for tok in tokens[keep:]:
         eng.cancel(tok)
@@ -258,24 +248,6 @@ def test_compaction_covers_the_bulk_tier():
     assert eng.events == keep
 
 
-def test_scalar_kernel_folds_back_a_batched_bulk_tier():
-    """Kernels may be mixed on one engine: the scalar loop folds bulk-
-    tier entries (left by an earlier batched run) back into its heap."""
-    eng = Engine(kernel="batched")
-    fired: list[float] = []
-    n = _FLUSH_THRESHOLD + 10
-    for i in range(n):
-        eng.schedule_at(1.0 + (i % 7), lambda: fired.append(eng.now))
-    eng.run(until=0.5)
-    assert eng._sorted_t.size > 0
-    eng.kernel = "scalar"
-    eng._batched = False
-    eng.run()
-    assert len(fired) == n
-    assert fired == sorted(fired)
-    assert eng.now == 7.0
-
-
 # -- composite waits ----------------------------------------------------------
 
 
@@ -283,7 +255,7 @@ def test_waitany_sweeps_losing_callbacks(kernel):
     """Regression: the losing events of an AnyOf must not retain the
     dead winner-selection closures (they capture the process and the
     whole event list)."""
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     evs = [eng.event(f"e{i}") for i in range(4)]
 
     def prog():
@@ -298,7 +270,7 @@ def test_waitany_sweeps_losing_callbacks(kernel):
 
 
 def test_waitany_no_accumulation_on_long_lived_events(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     slow = eng.event("slow")
 
     def prog():
@@ -314,7 +286,7 @@ def test_waitany_no_accumulation_on_long_lived_events(kernel):
 
 
 def test_waitall_with_already_triggered_events(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     evs = [eng.event(f"e{i}") for i in range(3)]
     evs[0].succeed("a")
     evs[2].succeed("c")
@@ -330,7 +302,7 @@ def test_waitall_with_already_triggered_events(kernel):
 
 
 def test_waitall_all_pretriggered_resumes_at_current_time(kernel):
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     evs = [eng.event(f"e{i}") for i in range(3)]
     for i, ev in enumerate(evs):
         ev.succeed(i)
@@ -348,7 +320,7 @@ def test_waitall_all_pretriggered_resumes_at_current_time(kernel):
 def test_succeed_detaches_callbacks_before_firing(kernel):
     # callbacks appended *during* firing must not run in this round (the
     # pre-detach list was already snapshot) and must not linger after
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     ev = SimEvent(eng, "e")
     calls: list[str] = []
 
@@ -364,17 +336,40 @@ def test_succeed_detaches_callbacks_before_firing(kernel):
     assert len(ev.callbacks) == 1
 
 
-# -- randomized kernel A/B on the raw engine ----------------------------------
 
 
-def _replay(kernel: str, times, prios, cancels):
-    eng = Engine(kernel=kernel)
+# -- recorded-digest oracle ---------------------------------------------------
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+def _random_schedule(seed: int):
+    rng = np.random.default_rng(seed)
+    # the first seeds are large (2548 entries), the rest 300; heavy
+    # instant collisions throughout, plus enough cancels to trip
+    # compaction
+    n = 2548 if seed < 3 else 300
+    times = rng.choice([0.0, 0.5, 1.0, 1.0, 1.0, 2.25, 4.0], size=n).tolist()
+    prios = rng.integers(0, 2, size=n).tolist()
+    cancels = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
+    return times, prios, cancels
+
+
+def _replay(times, prios, cancels):
+    eng = Engine()
     fired: list[tuple[float, int]] = []
     tokens = {}
     for i, (t, p) in enumerate(zip(times, prios)):
         def fn(i=i):
             fired.append((eng.now, i))
-            if i % 7 == 0:  # mid-batch child at the same instant
+            if i % 7 == 0:  # mid-instant child at the same instant
                 eng.schedule(0.0, lambda i=i: fired.append((eng.now, 1000 + i)))
         tokens[i] = eng.schedule_at(t, fn, priority=p)
     for i in cancels:
@@ -383,30 +378,18 @@ def _replay(kernel: str, times, prios, cancels):
     return fired, eng.events, eng.batches, eng.now
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_kernel_ab_random_schedules(seed):
-    rng = np.random.default_rng(seed)
-    # first seeds cross the flush threshold (bulk tier + searchsorted
-    # slices); the rest stay pure side-heap; heavy instant collisions
-    # throughout, plus enough cancels to trip compaction
-    n = _FLUSH_THRESHOLD + 500 if seed < 3 else 300
-    times = rng.choice([0.0, 0.5, 1.0, 1.0, 1.0, 2.25, 4.0], size=n).tolist()
-    prios = rng.integers(0, 2, size=n).tolist()
-    cancels = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
-    assert _replay("batched", times, prios, cancels) == _replay(
-        "scalar", times, prios, cancels
-    )
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_kernel_ab_random_schedules(seed, recorded):
+    got = _replay(*_random_schedule(seed))
+    assert _digest(got) == recorded["replay"][str(seed)]
 
 
-# -- differential: the fluid fuzz schedules under both kernels ----------------
-
-
-def _run_fluid(kernel: str, schedule):
+def _run_fluid(schedule):
     """The fuzz replay of test_fluid_differential, instrumented with the
-    engine counters so kernel equivalence covers the execution *shape*
-    (event count, batch count) and not just the observable timings."""
+    engine counters so the oracle covers the execution *shape* (event
+    count, batch count) and not just the observable timings."""
     caps, flows, cap_events, aborts, probes = schedule
-    engine = Engine(kernel=kernel)
+    engine = Engine()
     solver = FluidSolver(engine, mode="incremental")
     rids = [solver.add_resource(c, name=f"r{i}") for i, c in enumerate(caps)]
 
@@ -462,7 +445,24 @@ def _run_fluid(kernel: str, schedule):
     return log, engine.events, engine.batches, engine.now
 
 
-@pytest.mark.parametrize("seed", range(225))
-def test_kernels_bit_identical_on_fluid_schedules(seed):
-    schedule = make_schedule(seed)
-    assert _run_fluid("batched", schedule) == _run_fluid("scalar", schedule)
+@pytest.mark.parametrize("seed", FLUID_SEEDS)
+def test_kernels_bit_identical_on_fluid_schedules(seed, recorded):
+    got = _run_fluid(make_schedule(seed))
+    assert _digest(got) == recorded["fluid"][str(seed)]
+
+
+def _record() -> dict:
+    return {
+        "command": DIGEST_COMMAND,
+        "replay": {
+            str(s): _digest(_replay(*_random_schedule(s))) for s in REPLAY_SEEDS
+        },
+        "fluid": {
+            str(s): _digest(_run_fluid(make_schedule(s))) for s in FLUID_SEEDS
+        },
+    }
+
+
+if __name__ == "__main__":
+    json.dump(_record(), sys.stdout, indent=1)
+    sys.stdout.write("\n")
